@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-runtime bench-shard bench-net bench-dist bench-columnar bench-adaptive bench-obs bench-ckpt obs-smoke net-smoke col-smoke adapt-smoke dist-smoke chaos ckpt-smoke fuzz-smoke check
+.PHONY: all build vet test race perfbench-build bench bench-runtime bench-shard bench-net bench-dist bench-columnar bench-adaptive bench-obs bench-ckpt obs-smoke net-smoke col-smoke adapt-smoke dist-smoke chaos ckpt-smoke fuzz-smoke check
 
 all: check
 
@@ -12,6 +12,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is a nested module that ./... at the root never compiles: vet
+# and build it on its own so a change that breaks the benchmark's imports
+# fails here rather than only when the benchmark runs.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # Race-check everything: the partition rewrite touches the runtime, the
 # operators, and the metrics counters, so the whole tree runs under -race.
@@ -131,4 +137,4 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzColBatchRoundTrip -fuzztime=30s -run '^$$' ./internal/tuple
 	$(GO) test -fuzz=FuzzStateRoundTrip -fuzztime=30s -run '^$$' ./internal/ops
 
-check: vet build test race bench obs-smoke net-smoke col-smoke adapt-smoke dist-smoke chaos ckpt-smoke
+check: vet build perfbench-build test race bench obs-smoke net-smoke col-smoke adapt-smoke dist-smoke chaos ckpt-smoke

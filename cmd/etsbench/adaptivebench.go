@@ -159,7 +159,6 @@ func runAdaptiveConfig(name string, keys []int64, batch int, assign []int32, ada
 	if adaptive {
 		opts.Adaptive = &rt.AdaptiveOptions{
 			Interval: 2 * time.Millisecond,
-			Latency:  lat,
 			// The driver punctuates every adaptPunctEvery seqs, so half a
 			// round is the tightest barrier lead a punctuation is still
 			// guaranteed to cross promptly. The default (one tick's

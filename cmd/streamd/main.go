@@ -115,20 +115,16 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+	if err := checkMode(*ddl, *q, len(ins), opts); err != nil {
+		fmt.Fprintln(os.Stderr, "streamd:", err)
+		os.Exit(2)
+	}
 	if opts.worker != "" {
 		if err := serveWorker(opts); err != nil {
 			fmt.Fprintln(os.Stderr, "streamd:", err)
 			os.Exit(1)
 		}
 		return
-	}
-	if opts.coordinator != "" && (*ddl == "" || *q == "" || opts.listen == "") {
-		fmt.Fprintln(os.Stderr, "streamd: -coordinator needs -ddl, -q and -listen")
-		os.Exit(2)
-	}
-	if opts.coordinator == "" && (*ddl == "" || *q == "" || (len(ins) == 0 && opts.listen == "")) {
-		flag.Usage()
-		os.Exit(2)
 	}
 	if opts.maxQueue < 0 {
 		// A barrier rides the arcs FIFO, so checkpoint latency is bounded by
@@ -157,13 +153,38 @@ func main() {
 	}
 }
 
+// checkMode rejects flag combinations that some mode would otherwise accept
+// and silently ignore. Checkpoints are single-process only: a cut plan's
+// links forward barriers as plain punctuation (internal/dist egress), so a
+// coordinator or worker never completes a consistent snapshot.
+func checkMode(ddl, q string, nIns int, opts options) error {
+	ckpt := opts.ckptDir != "" || opts.restore
+	switch {
+	case opts.worker != "" && opts.coordinator != "":
+		return fmt.Errorf("-worker and -coordinator are exclusive")
+	case ckpt && (opts.worker != "" || opts.coordinator != ""):
+		return fmt.Errorf("-ckpt-dir and -restore are not supported with -coordinator or -worker: links carry no checkpoint barriers")
+	case opts.worker != "":
+		return nil
+	case opts.coordinator != "" && (ddl == "" || q == "" || opts.listen == ""):
+		return fmt.Errorf("-coordinator needs -ddl, -q and -listen")
+	case ddl == "" || q == "" || (nIns == 0 && opts.listen == ""):
+		return fmt.Errorf("need -ddl, -q and either -in traces or -listen (see -h)")
+	case ckpt && opts.listen == "":
+		return fmt.Errorf("-ckpt-dir and -restore need -listen: trace replay does not checkpoint")
+	case opts.restore && opts.ckptDir == "":
+		return fmt.Errorf("-restore requires -ckpt-dir")
+	}
+	return nil
+}
+
 // serve runs the continuous query against live network ingest: the
 // concurrent runtime executes the graph while the session server accepts
-// wire-protocol connections (legacy text mode stays off: with several
-// declared streams there is no single stream a raw connection could mean)
-// and feeds tuples, punctuation, and measured clock skew into the sources. SIGINT drains gracefully: the listener closes,
-// in-flight sessions get drainGrace to finish, every stream is closed with
-// a final ETS, and the engine runs to quiescence before results flush.
+// wire-protocol connections and feeds tuples, punctuation, and measured
+// clock skew into the sources. SIGINT drains gracefully: the listener
+// closes, in-flight sessions get drainGrace to finish, every stream is
+// closed with a final ETS, and the engine runs to quiescence before results
+// flush.
 func serve(ddl, q string, opts options) error {
 	e := core.NewEngine()
 	if _, err := e.ExecuteScript(ddl, nil); err != nil {
@@ -240,9 +261,6 @@ func serve(ddl, q string, opts options) error {
 	// and learn the replay resume point from BIND_ACK.
 	var coord *ckpt.Coordinator
 	var initSeq map[string]uint64
-	if opts.restore && opts.ckptDir == "" {
-		return fmt.Errorf("-restore requires -ckpt-dir")
-	}
 	if opts.ckptDir != "" {
 		st, err := ckpt.NewStore(opts.ckptDir)
 		if err != nil {

@@ -5,8 +5,7 @@
 // every arc. Three actuators:
 //
 //   - batch tuning: per-node batch size is hill-climbed on observed
-//     throughput, with a p95-latency guard that shrinks batches while the
-//     sink-observed p95 exceeds the target;
+//     throughput;
 //   - shard rebalance: when the splitter bucket loads drift skewed, a new
 //     bucket→shard table (partition.Balance) is installed behind an
 //     event-time barrier and promoted by the punctuation that crosses it;
@@ -49,6 +48,17 @@ const probeHysteresis = 0.8
 // tick for no throughput.
 const rateSettleDiv = 20
 
+// defaultMaxBatch caps the batch-size hill climb; the floor is one tuple.
+const defaultMaxBatch = 1024
+
+// skewThreshold is the partition.Skew level above which a rebalance is
+// considered.
+const skewThreshold = 0.25
+
+// cooldownTicks is the minimum gap between rebalances of the same operator,
+// in controller ticks.
+const cooldownTicks = 20
+
 // Controller drives one engine's observe→decide→apply loop. Create with
 // New or Attach, then either Start/Stop the timer goroutine or call Step
 // directly (deterministic ticks for tests and benches).
@@ -56,10 +66,9 @@ type Controller struct {
 	e        *runtime.Engine
 	o        runtime.AdaptiveOptions
 	interval time.Duration
-	minBatch int
+	minBatch int // batch-size climb bounds (tests narrow them)
 	maxBatch int
-	skew     float64
-	cooldown time.Duration
+	cooldown time.Duration // minimum gap between rebalances of one group
 
 	nodes  []*batchTuner
 	groups []*groupTuner
@@ -78,9 +87,8 @@ type Controller struct {
 }
 
 // batchTuner hill-climbs one node's batch size: keep moving in the current
-// direction while throughput improves, reverse when it degrades, hold when
-// it plateaus (the settle band), and shrink unconditionally while the
-// latency guard trips.
+// direction while throughput improves, reverse when it degrades, and hold
+// when it plateaus (the settle band).
 type batchTuner struct {
 	id   int
 	name string
@@ -122,31 +130,15 @@ func New(e *runtime.Engine, opts *runtime.AdaptiveOptions) *Controller {
 		e:        e,
 		o:        o,
 		interval: o.Interval,
-		minBatch: o.MinBatch,
-		maxBatch: o.MaxBatch,
-		skew:     o.SkewThreshold,
-		cooldown: o.RebalanceMinInterval,
+		minBatch: 1,
+		maxBatch: defaultMaxBatch,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	if c.interval <= 0 {
 		c.interval = runtime.DefaultAdaptInterval
 	}
-	if c.minBatch <= 0 {
-		c.minBatch = 1
-	}
-	if c.maxBatch <= 0 {
-		c.maxBatch = runtime.DefaultAdaptMaxBatch
-	}
-	if c.maxBatch < c.minBatch {
-		c.maxBatch = c.minBatch
-	}
-	if c.skew <= 0 {
-		c.skew = 0.25
-	}
-	if c.cooldown <= 0 {
-		c.cooldown = 20 * c.interval
-	}
+	c.cooldown = cooldownTicks * c.interval
 	reg := e.Registry()
 	c.ticks = reg.Counter("sm_adapt_ticks_total")
 	c.batchRetunes = reg.Counter("sm_adapt_batch_retunes_total")
@@ -155,24 +147,19 @@ func New(e *runtime.Engine, opts *runtime.AdaptiveOptions) *Controller {
 	c.shardApplies = reg.Counter("sm_adapt_shard_applies_total")
 
 	for id := 0; id < e.NumNodes(); id++ {
-		if !o.NoBatchTune && e.NodeFanOut(id) > 0 {
+		if e.NodeFanOut(id) > 0 {
 			c.nodes = append(c.nodes, &batchTuner{
 				id:   id,
 				name: e.NodeName(id),
 				ins:  e.NodeInstruments(id),
 			})
 		}
-		if o.NoJoinReorder {
-			continue
-		}
 		if j, ok := e.NodeOperator(id).(*ops.MultiJoin); ok && j.KeyCols() != nil && j.NumInputs() > 2 {
 			c.joins = append(c.joins, &joinTuner{id: id, name: e.NodeName(id), j: j})
 		}
 	}
-	if !o.NoRebalance {
-		for _, g := range e.ShardGroups() {
-			c.watchGroup(g)
-		}
+	for _, g := range e.ShardGroups() {
+		c.watchGroup(g)
 	}
 	return c
 }
@@ -252,9 +239,8 @@ func (c *Controller) Retunes() uint64 {
 // timer goroutine; not safe for concurrent use with Start.
 func (c *Controller) Step() {
 	c.ticks.Inc()
-	latHigh := c.latencyHigh()
 	for _, n := range c.nodes {
-		c.tuneBatch(n, latHigh)
+		c.tuneBatch(n)
 	}
 	now := time.Now()
 	for _, g := range c.groups {
@@ -265,18 +251,7 @@ func (c *Controller) Step() {
 	}
 }
 
-// latencyHigh reports whether the guard reservoir's p95 currently exceeds
-// the target. Reservoir values are tuple.Time spans (microseconds), as
-// produced by sinks observing now-minus-arrival on the virtual clock.
-func (c *Controller) latencyHigh() bool {
-	if c.o.Latency == nil || c.o.TargetP95 <= 0 || c.o.Latency.Count() == 0 {
-		return false
-	}
-	p95 := c.o.Latency.Snapshot().Percentile(0.95)
-	return p95 > c.o.TargetP95.Microseconds()
-}
-
-func (c *Controller) tuneBatch(n *batchTuner, latHigh bool) {
+func (c *Controller) tuneBatch(n *batchTuner) {
 	rate := n.ins.TuplesOut.Rate(&n.wOut)
 	cur := c.e.NodeBatchSize(n.id)
 	if cur <= 0 {
@@ -292,11 +267,6 @@ func (c *Controller) tuneBatch(n *batchTuner, latHigh bool) {
 	next := cur
 	band := n.last / rateSettleDiv
 	switch {
-	case latHigh:
-		// Latency guard: batches are sitting too long; shrink regardless
-		// of throughput until the p95 recovers.
-		next = cur / 2
-		n.dir = -1
 	case n.dir == 0:
 		// First loaded tick (or just after idle): probe upward.
 		n.dir = 1
@@ -377,7 +347,7 @@ func (c *Controller) tuneShards(g *groupTuner, now time.Time) {
 	for b, w := range g.win {
 		loads[assign[b]] += w
 	}
-	if partition.Skew(loads) <= c.skew {
+	if partition.Skew(loads) <= skewThreshold {
 		return
 	}
 	if !g.lastAt.IsZero() && now.Sub(g.lastAt) < c.cooldown {

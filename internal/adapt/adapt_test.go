@@ -56,11 +56,11 @@ func TestDefaults(t *testing.T) {
 	if c.Interval() != runtime.DefaultAdaptInterval {
 		t.Errorf("Interval = %v, want %v", c.Interval(), runtime.DefaultAdaptInterval)
 	}
-	if c.minBatch != 1 || c.maxBatch != runtime.DefaultAdaptMaxBatch {
+	if c.minBatch != 1 || c.maxBatch != defaultMaxBatch {
 		t.Errorf("batch bounds = [%d,%d]", c.minBatch, c.maxBatch)
 	}
-	if c.skew != 0.25 || c.cooldown != 20*c.interval {
-		t.Errorf("skew=%v cooldown=%v", c.skew, c.cooldown)
+	if c.cooldown != 20*c.interval {
+		t.Errorf("cooldown=%v", c.cooldown)
 	}
 	if len(c.nodes) != 1 {
 		t.Errorf("want 1 batch tuner (the source), got %d", len(c.nodes))
@@ -74,7 +74,8 @@ func TestDefaults(t *testing.T) {
 func TestBatchClimbIssuesAndApplies(t *testing.T) {
 	tr := metrics.NewTracer(1024)
 	e, src, sid, got := buildPipeline(t, runtime.Options{BatchSize: 8, Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{MaxBatch: 64})
+	c := New(e, nil)
+	c.maxBatch = 64
 	e.Start()
 
 	ts := tuple.Time(1)
@@ -124,7 +125,8 @@ func TestBatchClimbIssuesAndApplies(t *testing.T) {
 
 func TestBatchClampAndIdleReset(t *testing.T) {
 	e, src, sid, got := buildPipeline(t, runtime.Options{BatchSize: 8})
-	c := New(e, &runtime.AdaptiveOptions{MinBatch: 4, MaxBatch: 16})
+	c := New(e, nil)
+	c.minBatch, c.maxBatch = 4, 16
 	e.Start()
 
 	ts := tuple.Time(1)
@@ -165,53 +167,6 @@ func TestBatchClampAndIdleReset(t *testing.T) {
 	e.CloseStream(src)
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLatencyGuardShrinks(t *testing.T) {
-	lat := metrics.NewReservoir(256)
-	for i := 0; i < 100; i++ {
-		lat.Observe(5000) // 5ms observed vs 1ms target: guard trips
-	}
-	tr := metrics.NewTracer(64)
-	e, src, _, got := buildPipeline(t, runtime.Options{BatchSize: 8, Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{
-		TargetP95: time.Millisecond,
-		Latency:   lat,
-	})
-	e.Start()
-
-	ts := tuple.Time(1)
-	burst := func(n int) {
-		for i := 0; i < n; i++ {
-			e.Ingest(src, tuple.NewData(ts, tuple.Int(int64(ts))))
-			ts++
-		}
-		e.Ingest(src, tuple.NewPunct(ts))
-		ts++
-	}
-	burst(100)
-	waitFor(t, "first burst", func() bool { return got.Load() == 100 })
-	c.Step() // primes
-	burst(100)
-	waitFor(t, "second burst", func() bool { return got.Load() == 200 })
-	c.Step() // guard trips: shrink 8 → 4 despite throughput
-	e.CloseStream(src)
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	evs := tr.Recent(16)
-	found := false
-	for _, ev := range evs {
-		if ev.Kind == metrics.EvRetuneBatch {
-			found = true
-			if ev.Value != 4 {
-				t.Errorf("guard tick retuned to %d, want 4", ev.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("latency guard issued no batch retune")
 	}
 }
 
@@ -258,7 +213,8 @@ func hotKeys(shards, n int) []int64 {
 func TestShardRebalanceAtBarrier(t *testing.T) {
 	tr := metrics.NewTracer(256)
 	e, _, _, _ := buildPipeline(t, runtime.Options{Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{NoBatchTune: true, NoJoinReorder: true})
+	c := New(e, nil)
+	c.nodes = nil // shard rebalance only
 
 	s := ops.NewSplit("sp", nil, 2, 0)
 	d := newSplitDriver(s)
@@ -336,7 +292,8 @@ func TestShardRebalanceAtBarrier(t *testing.T) {
 func TestProbeReorderCheapestFirst(t *testing.T) {
 	tr := metrics.NewTracer(64)
 	e, _, _, _ := buildPipeline(t, runtime.Options{Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{NoBatchTune: true, NoRebalance: true})
+	c := New(e, nil)
+	c.nodes = nil // probe reorder only
 
 	j := ops.NewMultiEquiJoin("mj", nil, window.TimeWindow(100000), 0, 0, 0)
 	jt := &joinTuner{id: -1, name: "mj", j: j} // id -1: decision only, no live node
@@ -417,7 +374,8 @@ func TestPackOrder(t *testing.T) {
 
 func TestStartStopLoop(t *testing.T) {
 	e, src, _, got := buildPipeline(t, runtime.Options{BatchSize: 8})
-	c := New(e, &runtime.AdaptiveOptions{Interval: time.Millisecond, MaxBatch: 64})
+	c := New(e, &runtime.AdaptiveOptions{Interval: time.Millisecond})
+	c.maxBatch = 64
 	e.Start()
 	c.Start()
 	c.Start() // idempotent

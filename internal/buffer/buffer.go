@@ -35,13 +35,11 @@ type Queue struct {
 	groups []*Group
 
 	// stats
-	peak      int
-	pushes    uint64
-	pops      uint64
-	punctIn   uint64
-	punctOut  uint64
-	lastTs    tuple.Time // timestamp of the most recently pushed tuple
-	hasLastTs bool
+	peak     int
+	pushes   uint64
+	pops     uint64
+	punctIn  uint64
+	punctOut uint64
 }
 
 const minCap = 8
@@ -83,8 +81,6 @@ func (q *Queue) push(t *tuple.Tuple) {
 	} else {
 		q.nData++
 	}
-	q.lastTs = t.Ts
-	q.hasLastTs = true
 	if q.n > q.peak {
 		q.peak = q.n
 	}
@@ -142,8 +138,8 @@ func (q *Queue) At(i int) *tuple.Tuple {
 	return q.buf[(q.head+i)&q.mask]
 }
 
-// pop is the unguarded front removal shared by Pop and PopAll; the queue
-// must be non-empty.
+// pop is the unguarded front removal shared by Pop and ShedOldest; the
+// queue must be non-empty.
 func (q *Queue) pop() *tuple.Tuple {
 	t := q.buf[q.head]
 	q.buf[q.head] = nil // allow GC
@@ -168,22 +164,6 @@ func (q *Queue) Pop() *tuple.Tuple {
 		q.notifyGroups(-1)
 	}
 	return t
-}
-
-// PopAll drains the queue front-to-back, appending every tuple to dst and
-// returning the extended slice.
-func (q *Queue) PopAll(dst []*tuple.Tuple) []*tuple.Tuple {
-	if q.n == 0 {
-		return dst
-	}
-	drained := q.n
-	for q.n > 0 {
-		dst = append(dst, q.pop())
-	}
-	if len(q.groups) != 0 {
-		q.notifyGroups(-drained)
-	}
-	return dst
 }
 
 // pushFront re-inserts t at the head of the queue. It is the mechanism
@@ -241,18 +221,6 @@ func (q *Queue) ShedOldest(k int, release func(*tuple.Tuple)) int {
 	return shed
 }
 
-// Clear discards all buffered tuples (stats are preserved: cleared tuples
-// count as pops, punctuation as punctOut).
-func (q *Queue) Clear() {
-	drained := q.n
-	for q.n > 0 {
-		q.pop()
-	}
-	if drained != 0 && len(q.groups) != 0 {
-		q.notifyGroups(-drained)
-	}
-}
-
 // grow resizes the ring to the smallest power of two ≥ need, unwrapping the
 // live region with at most two bulk copies.
 func (q *Queue) grow(need int) {
@@ -276,11 +244,6 @@ func (q *Queue) grow(need int) {
 	q.mask = newCap - 1
 	q.head = 0
 }
-
-// LastTs returns the timestamp of the most recently pushed tuple and whether
-// any tuple has ever been pushed. Source wrappers use it to keep ETS values
-// monotone with respect to already-enqueued tuples.
-func (q *Queue) LastTs() (tuple.Time, bool) { return q.lastTs, q.hasLastTs }
 
 // Stats is a snapshot of a queue's counters.
 type Stats struct {
@@ -308,16 +271,6 @@ func (q *Queue) Stats() Stats {
 
 // Peak reports the maximum occupancy ever observed.
 func (q *Queue) Peak() int { return q.peak }
-
-// ResetStats zeroes the counters (occupancy is untouched) — used when a
-// measurement window starts after a warm-up period.
-func (q *Queue) ResetStats() {
-	q.peak = q.n
-	q.pushes = 0
-	q.pops = 0
-	q.punctIn = 0
-	q.punctOut = 0
-}
 
 func (q *Queue) String() string {
 	return fmt.Sprintf("queue %s: len=%d peak=%d", q.name, q.n, q.peak)

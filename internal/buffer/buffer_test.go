@@ -106,42 +106,6 @@ func TestQueueStats(t *testing.T) {
 	if q.Peak() != 3 {
 		t.Errorf("Peak = %d", q.Peak())
 	}
-	q.ResetStats()
-	st = q.Stats()
-	if st.Peak != 1 || st.Pushes != 0 || st.Pops != 0 {
-		t.Errorf("after reset: %+v", st)
-	}
-}
-
-func TestQueueLastTs(t *testing.T) {
-	q := New("l")
-	if _, ok := q.LastTs(); ok {
-		t.Error("fresh queue claims a last ts")
-	}
-	q.Push(tuple.NewData(5))
-	q.Push(tuple.NewData(9))
-	if ts, ok := q.LastTs(); !ok || ts != 9 {
-		t.Errorf("LastTs = %v, %v", ts, ok)
-	}
-	q.Pop()
-	q.Pop()
-	if ts, ok := q.LastTs(); !ok || ts != 9 {
-		t.Error("LastTs must survive draining")
-	}
-}
-
-func TestQueueClear(t *testing.T) {
-	q := New("c")
-	for i := 0; i < 5; i++ {
-		q.Push(tuple.NewData(tuple.Time(i)))
-	}
-	q.Clear()
-	if !q.Empty() {
-		t.Error("Clear left tuples")
-	}
-	if q.Peak() != 5 {
-		t.Error("Clear must preserve peak")
-	}
 }
 
 func TestGroupPeakIsInstantaneousSum(t *testing.T) {
@@ -173,35 +137,12 @@ func TestGroupPeakIsInstantaneousSum(t *testing.T) {
 	if g.Peak() != 3 {
 		t.Errorf("Reset should set peak to current total, got %d", g.Peak())
 	}
-	b.Clear()
+	for !b.Empty() {
+		b.Pop()
+	}
 	g.Observe()
 	if g.Peak() != 3 {
 		t.Errorf("peak after drain = %d", g.Peak())
-	}
-}
-
-func TestQueueClearStatAccounting(t *testing.T) {
-	// Clear counts the discarded tuples as pops (and punctuation as
-	// punctOut) so push/pop ledgers stay balanced across a Clear.
-	q := New("cs")
-	q.Push(tuple.NewData(1))
-	q.Push(tuple.NewPunct(2))
-	q.Push(tuple.NewData(3))
-	q.Pop()
-	q.Clear()
-	st := q.Stats()
-	if st.Len != 0 || st.Pushes != 3 || st.Pops != 3 {
-		t.Errorf("stats after Clear = %+v", st)
-	}
-	if st.PunctIn != 1 || st.PunctOut != 1 {
-		t.Errorf("punct stats after Clear = %+v", st)
-	}
-	if q.DataLen() != 0 {
-		t.Errorf("DataLen after Clear = %d", q.DataLen())
-	}
-	q.Clear() // idempotent on empty
-	if got := q.Stats().Pops; got != 3 {
-		t.Errorf("Clear on empty queue changed pops: %d", got)
 	}
 }
 
@@ -291,33 +232,7 @@ func TestQueueCapacityAlwaysPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestQueueLastTsMonotonicityAcrossWrap(t *testing.T) {
-	// LastTs tracks the most recent push — including punctuation — and is
-	// unaffected by pops, Clear, or ring growth.
-	q := New("lts")
-	for i := 0; i < 20; i++ {
-		q.Push(tuple.NewData(tuple.Time(i * 10)))
-		if ts, ok := q.LastTs(); !ok || ts != tuple.Time(i*10) {
-			t.Fatalf("LastTs after push %d = %v, %v", i, ts, ok)
-		}
-		if i%2 == 0 {
-			q.Pop()
-			if ts, _ := q.LastTs(); ts != tuple.Time(i*10) {
-				t.Fatalf("Pop moved LastTs to %v", ts)
-			}
-		}
-	}
-	q.Push(tuple.NewPunct(500))
-	if ts, _ := q.LastTs(); ts != 500 {
-		t.Fatalf("punct push must advance LastTs, got %v", ts)
-	}
-	q.Clear()
-	if ts, ok := q.LastTs(); !ok || ts != 500 {
-		t.Fatalf("LastTs after Clear = %v, %v", ts, ok)
-	}
-}
-
-func TestQueuePushAllPopAll(t *testing.T) {
+func TestQueuePushAllAcrossWrap(t *testing.T) {
 	q := New("batch")
 	var batch []*tuple.Tuple
 	for i := 0; i < 200; i++ {
@@ -332,17 +247,13 @@ func TestQueuePushAllPopAll(t *testing.T) {
 	if q.Len() != 180 {
 		t.Fatalf("Len = %d, want 180", q.Len())
 	}
-	out := q.PopAll(nil)
-	if len(out) != 180 || !q.Empty() {
-		t.Fatalf("PopAll returned %d, queue len %d", len(out), q.Len())
-	}
-	for i, tp := range out {
-		if tp.Ts != tuple.Time(i+20) {
-			t.Fatalf("PopAll[%d].Ts = %v", i, tp.Ts)
+	for i := 0; i < 180; i++ {
+		if tp := q.Pop(); tp.Ts != tuple.Time(i+20) {
+			t.Fatalf("Pop %d: Ts = %v", i, tp.Ts)
 		}
 	}
-	if got := q.PopAll(out[:0]); len(got) != 0 {
-		t.Fatal("PopAll on empty queue must return dst unchanged")
+	if !q.Empty() {
+		t.Fatalf("queue len %d after draining", q.Len())
 	}
 	st := q.Stats()
 	if st.Pushes != 200 || st.Pops != 200 {
@@ -370,14 +281,11 @@ func TestGroupIncrementalTotal(t *testing.T) {
 		t.Fatalf("peak = %d", g.Peak())
 	}
 	a.Pop()
-	b.PopAll(nil)
+	for !b.Empty() {
+		b.Pop()
+	}
 	if g.Total() != 0 {
 		t.Fatalf("total after drain = %d", g.Total())
-	}
-	b.Push(tuple.NewData(1))
-	b.Clear()
-	if g.Total() != 0 {
-		t.Fatalf("total after Clear = %d", g.Total())
 	}
 	if g.Peak() != 11 {
 		t.Fatalf("peak after drain = %d", g.Peak())

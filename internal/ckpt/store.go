@@ -84,9 +84,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func ckptDirName(id uint64) string { return fmt.Sprintf("%s%016d", dirPrefix, id) }
 
 // Write durably commits one snapshot. It returns the total payload bytes

@@ -78,21 +78,3 @@ func (e *Engine) noteETS(src *ops.Source) {
 		e.trace.Emit(metrics.EvETSGen, src.Name(), e.now(), int64(src.TSKind()))
 	}
 }
-
-// StepsPerNode returns a copy of the per-node execution counts, indexed by
-// graph node id — the scheduling-share diagnostic the dot overlay renders.
-func (e *Engine) StepsPerNode() []uint64 {
-	out := make([]uint64, len(e.stepsPerNode))
-	copy(out, e.stepsPerNode)
-	return out
-}
-
-// BlockedSet returns the current idle-waiting nodes as a set keyed by node
-// id, for annotation overlays.
-func (e *Engine) BlockedSet() map[int]bool {
-	out := make(map[int]bool)
-	for _, id := range e.BlockedWithData() {
-		out[int(id)] = true
-	}
-	return out
-}

@@ -62,15 +62,7 @@ func TestExecInstrumented(t *testing.T) {
 	if int(sawBuffered) != f.g.Len() {
 		t.Errorf("buffered gauges = %v, want one per node (%d)", sawBuffered, f.g.Len())
 	}
-	spn := e.StepsPerNode()
-	var sum uint64
-	for _, c := range spn {
-		sum += c
-	}
-	if sum != e.Steps() {
-		t.Errorf("StepsPerNode sum %d != %d", sum, e.Steps())
-	}
-	if len(e.BlockedSet()) != 0 {
+	if len(e.BlockedWithData()) != 0 {
 		t.Error("nothing should be idle-waiting after release")
 	}
 }

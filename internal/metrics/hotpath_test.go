@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/tuple"
@@ -54,53 +53,4 @@ func BenchmarkLatencyPercentile(b *testing.B) {
 		_ = l.Percentile(95)
 		_ = l.Percentile(99)
 	}
-}
-
-// Race-test the sharded/atomic Counter satellite: parallel adders on shared
-// and private names, concurrent readers.
-func TestCounterConcurrentSharded(t *testing.T) {
-	c := NewCounter()
-	var wg sync.WaitGroup
-	const workers, perWorker = 8, 2000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Add("shared", 1)
-				c.Add(string(rune('a'+w)), 2)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			_ = c.Get("shared")
-			_ = c.Names()
-			_ = c.String()
-		}
-	}()
-	wg.Wait()
-	if got := c.Get("shared"); got != workers*perWorker {
-		t.Errorf("shared = %d, want %d", got, workers*perWorker)
-	}
-	for w := 0; w < workers; w++ {
-		if got := c.Get(string(rune('a' + w))); got != 2*perWorker {
-			t.Errorf("worker %d = %d, want %d", w, got, 2*perWorker)
-		}
-	}
-	if got := len(c.Names()); got != workers+1 {
-		t.Errorf("Names = %d entries, want %d", got, workers+1)
-	}
-}
-
-func BenchmarkCounterAdd(b *testing.B) {
-	c := NewCounter()
-	c.Add("hot", 0)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Add("hot", 1)
-		}
-	})
 }

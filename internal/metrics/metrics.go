@@ -1,5 +1,5 @@
 // Package metrics provides the measurement instruments used by the
-// experiment harness: latency accumulators with percentiles and histograms,
+// experiment harness: latency accumulators with percentiles,
 // and per-operator idle-waiting time accounting (the paper reports average
 // output latency, peak total queue size, and the percentage of time the
 // union operator spends idle-waiting).
@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/tuple"
@@ -112,53 +111,6 @@ func (l *Latency) Percentile(p float64) tuple.Time {
 	return s[rank]
 }
 
-// Histogram buckets the samples into n logarithmic buckets between min and
-// max (in µs) and renders a small text histogram.
-func (l *Latency) Histogram(n int) string {
-	if len(l.samples) == 0 || n <= 0 {
-		return "(no samples)"
-	}
-	lo, hi := float64(l.Min()), float64(l.Max())
-	if lo < 1 {
-		lo = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	counts := make([]int, n)
-	logLo, logHi := math.Log(lo), math.Log(hi)
-	for _, s := range l.samples {
-		v := float64(s)
-		if v < 1 {
-			v = 1
-		}
-		b := int(float64(n) * (math.Log(v) - logLo) / (logHi - logLo))
-		if b >= n {
-			b = n - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	peak := 0
-	for _, c := range counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		from := math.Exp(logLo + (logHi-logLo)*float64(i)/float64(n))
-		bar := ""
-		if peak > 0 {
-			bar = strings.Repeat("#", c*40/peak)
-		}
-		fmt.Fprintf(&b, "%12.0fµs |%-40s %d\n", from, bar, c)
-	}
-	return b.String()
-}
-
 // IdleAccount tracks, for one operator, how much virtual time it has spent
 // idle-waiting: blocked by timestamp uncertainty while holding at least one
 // input tuple it could otherwise process. This matches the paper's §6
@@ -191,60 +143,6 @@ func (a *IdleAccount) Fraction() float64 {
 
 // Reset zeroes the account (e.g. at the end of a warm-up period).
 func (a *IdleAccount) Reset() { a.idle, a.total = 0, 0 }
-
-// Counter is a named counter set, used for ad-hoc experiment accounting
-// (tuples seen, ETS generated, steps executed, ...). It is safe for
-// concurrent use: the concurrent runtime's node goroutines may account into
-// one shared Counter. The hot path (Add on an existing name) is lock-free —
-// one sync.Map read plus one atomic add; a mutex is taken only the first
-// time a name appears.
-type Counter struct {
-	counts sync.Map // string → *atomic.Int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{} }
-
-// cell returns the atomic cell for name, creating it on first use.
-func (c *Counter) cell(name string) *atomic.Int64 {
-	if v, ok := c.counts.Load(name); ok {
-		return v.(*atomic.Int64)
-	}
-	v, _ := c.counts.LoadOrStore(name, new(atomic.Int64))
-	return v.(*atomic.Int64)
-}
-
-// Add increments the named counter by delta.
-func (c *Counter) Add(name string, delta int64) {
-	c.cell(name).Add(delta)
-}
-
-// Get reads the named counter.
-func (c *Counter) Get(name string) int64 {
-	if v, ok := c.counts.Load(name); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
-}
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	var names []string
-	c.counts.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
-}
-
-func (c *Counter) String() string {
-	var b strings.Builder
-	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%s=%d ", n, c.Get(n))
-	}
-	return strings.TrimSpace(b.String())
-}
 
 // PerShard is a fixed-size vector of atomic counters, one per shard of a
 // partitioned operator. Writers (splitter goroutines, shard goroutines) add

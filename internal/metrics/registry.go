@@ -281,7 +281,7 @@ type Metric struct {
 }
 
 // Snapshot reads every instrument once and returns the values sorted by
-// name. Mergeable: see MergeSnapshots.
+// name.
 func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
 	es := make([]*entry, 0, len(r.entries))
@@ -306,45 +306,6 @@ func (r *Registry) Snapshot() []Metric {
 		}
 		out = append(out, m)
 	}
-	return out
-}
-
-// MergeSnapshots combines two snapshots by name: counters add, gauges take
-// the maximum (the conservative reading for depths and high-water marks),
-// reservoirs merge. Metrics present in only one input pass through.
-func MergeSnapshots(a, b []Metric) []Metric {
-	byName := make(map[string]Metric, len(a))
-	for _, m := range a {
-		byName[m.Name] = m
-	}
-	for _, m := range b {
-		old, ok := byName[m.Name]
-		if !ok {
-			byName[m.Name] = m
-			continue
-		}
-		switch m.Kind {
-		case KindCounter:
-			old.Value += m.Value
-		case KindGauge:
-			if m.Value > old.Value {
-				old.Value = m.Value
-			}
-		case KindReservoir:
-			if old.Res != nil && m.Res != nil {
-				merged := old.Res.Merge(*m.Res)
-				old.Res = &merged
-			} else if m.Res != nil {
-				old.Res = m.Res
-			}
-		}
-		byName[old.Name] = old
-	}
-	out := make([]Metric, 0, len(byName))
-	for _, m := range byName {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -84,30 +84,6 @@ func TestReservoirMerge(t *testing.T) {
 	}
 }
 
-func TestMergeSnapshots(t *testing.T) {
-	a := NewRegistry()
-	b := NewRegistry()
-	a.Counter("c").Add(2)
-	b.Counter("c").Add(5)
-	a.Gauge("g").Set(3)
-	b.Gauge("g").Set(9)
-	b.Counter("only_b").Inc()
-	merged := MergeSnapshots(a.Snapshot(), b.Snapshot())
-	byName := map[string]Metric{}
-	for _, m := range merged {
-		byName[m.Name] = m
-	}
-	if byName["c"].Value != 7 {
-		t.Errorf("merged counter = %v, want 7", byName["c"].Value)
-	}
-	if byName["g"].Value != 9 {
-		t.Errorf("merged gauge = %v, want 9 (max)", byName["g"].Value)
-	}
-	if byName["only_b"].Value != 1 {
-		t.Errorf("one-sided metric lost: %v", byName["only_b"])
-	}
-}
-
 func TestSplitNameAndLabels(t *testing.T) {
 	f, l := SplitName(`sm_x_total{node="u",id="3"}`)
 	if f != "sm_x_total" || l != `node="u",id="3"` {

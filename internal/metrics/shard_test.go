@@ -64,24 +64,3 @@ func TestPerShardConcurrent(t *testing.T) {
 		t.Fatalf("total = %d, want 8000", p.Total())
 	}
 }
-
-// Counter must be safe for concurrent node goroutines (atomic cells).
-func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add("x", 1)
-				_ = c.Get("x")
-				_ = c.Names()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Get("x") != 4000 {
-		t.Fatalf("x = %d, want 4000", c.Get("x"))
-	}
-}

@@ -194,10 +194,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 // check at each emission site. When enabled, Emit takes a short mutex to
 // write one ring slot; per-kind totals are atomic so pairing invariants
 // (every IdleEnter has an IdleExit) survive ring eviction.
-//
-// A pluggable sink, when set, receives every event synchronously after the
-// ring write — e.g. a stderr streamer in streamd. The sink must be fast or
-// it becomes the engine's bottleneck while tracing.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []Event
@@ -205,7 +201,6 @@ type Tracer struct {
 
 	counts  [numEventKinds]atomic.Uint64
 	dropped atomic.Uint64 // events overwritten by ring wrap before any read
-	sink    atomic.Pointer[func(Event)]
 }
 
 // NewTracer returns a tracer retaining the last capacity events.
@@ -214,15 +209,6 @@ func NewTracer(capacity int) *Tracer {
 		capacity = 4096
 	}
 	return &Tracer{ring: make([]Event, capacity)}
-}
-
-// SetSink installs fn as the synchronous event sink (nil removes it).
-func (t *Tracer) SetSink(fn func(Event)) {
-	if fn == nil {
-		t.sink.Store(nil)
-		return
-	}
-	t.sink.Store(&fn)
 }
 
 // Emit records one event. Safe for concurrent use.
@@ -235,13 +221,9 @@ func (t *Tracer) Emit(kind EventKind, node string, when tuple.Time, value int64)
 	if t.next >= uint64(len(t.ring)) {
 		t.dropped.Add(1) // the slot being reused held an unevicted event
 	}
-	ev := Event{Seq: t.next, Kind: kind, Node: node, When: when, Value: value}
-	t.ring[t.next%uint64(len(t.ring))] = ev
+	t.ring[t.next%uint64(len(t.ring))] = Event{Seq: t.next, Kind: kind, Node: node, When: when, Value: value}
 	t.next++
 	t.mu.Unlock()
-	if fn := t.sink.Load(); fn != nil {
-		(*fn)(ev)
-	}
 }
 
 // Total reports the number of events ever emitted.

@@ -43,21 +43,6 @@ func TestTracerNilIsNoop(t *testing.T) {
 	tr.Emit(EvETSGen, "s", 1, 1) // must not panic
 }
 
-func TestTracerSink(t *testing.T) {
-	tr := NewTracer(4)
-	var got []Event
-	tr.SetSink(func(e Event) { got = append(got, e) })
-	tr.Emit(EvDemandSent, "j", 7, 0)
-	if len(got) != 1 || got[0].Kind != EvDemandSent {
-		t.Fatalf("sink got %+v", got)
-	}
-	tr.SetSink(nil)
-	tr.Emit(EvDemandSent, "j", 8, 0)
-	if len(got) != 1 {
-		t.Errorf("sink called after removal")
-	}
-}
-
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(64)
 	var wg sync.WaitGroup

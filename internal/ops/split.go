@@ -100,9 +100,6 @@ func NewSplit(name string, schema *tuple.Schema, shards, key int) *Split {
 // Shards reports the splitter's fan-out.
 func (s *Split) Shards() int { return s.shards }
 
-// Key reports the routing column, or -1 for round-robin.
-func (s *Split) Key() int { return s.key }
-
 // Routed exposes the per-shard routed-tuple counters (data tuples only).
 func (s *Split) Routed() *metrics.PerShard { return s.routed }
 

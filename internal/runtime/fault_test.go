@@ -30,6 +30,11 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // tuple loss and no ordering violation: restarts must be invisible to the
 // stream semantics because all node state lives on the node, not the
 // goroutine stack.
+//
+// The injector counts the union's scheduling iterations, and one iteration
+// can drain any backlog, so the input arrives in chunks that are each
+// consumed before the next is sent: every chunk costs the union at least
+// one iteration, and n/chunk iterations are many times PanicEvery.
 func TestRuntimePanicRestartPreservesOrder(t *testing.T) {
 	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
 	inj := fault.New(fault.Config{PanicEvery: 7, PanicNodes: []string{"u"}})
@@ -43,20 +48,17 @@ func TestRuntimePanicRestartPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start()
-	const n = 2000
-	var wg sync.WaitGroup
-	for _, src := range []*ops.Source{s1, s2} {
-		src := src
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				e.Ingest(src, tuple.NewData(0, tuple.Int(int64(i))))
-			}
-			e.CloseStream(src)
-		}()
+	const n, chunk = 2000, 50
+	for i := 0; i < n; i += chunk {
+		for j := i; j < i+chunk; j++ {
+			e.Ingest(s1, tuple.NewData(0, tuple.Int(int64(j))))
+			e.Ingest(s2, tuple.NewData(0, tuple.Int(int64(j))))
+		}
+		want := 2 * (i + chunk)
+		waitFor(t, 5*time.Second, "chunk delivery", func() bool { return len(col.snapshot()) == want })
 	}
-	wg.Wait()
+	e.CloseStream(s1)
+	e.CloseStream(s2)
 	if err := e.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}

@@ -138,10 +138,9 @@ func (e *Engine) instrument() {
 		o.blockedOn.Set(-1)
 		n.obs = o
 		reg.GaugeFunc("sm_node_chan_backlog"+lbl, func() int64 { return int64(len(n.in)) })
-		// Live tuned values: /vars shows what the adaptive controller has
-		// actually applied, per node.
+		// Live tuned value: /vars shows the batch size the adaptive
+		// controller has actually applied, per node.
 		reg.GaugeFunc("sm_node_batch_size"+lbl, func() int64 { return n.batchSize.Load() })
-		reg.GaugeFunc("sm_node_max_delay_us"+lbl, func() int64 { return n.maxDelayNs.Load() / 1e3 })
 		reg.GaugeFunc("sm_node_idle"+lbl, func() int64 {
 			if o.idleSince.Load() >= 0 {
 				return 1
@@ -462,8 +461,9 @@ type NodeSnapshot struct {
 	// LateTuples counts data tuples that arrived below the node's input
 	// watermark; TuplesShed data tuples dropped by the overload shedder.
 	LateTuples, TuplesShed uint64
-	// BatchSize/MaxBatchDelay are the node's live data-plane tunables;
-	// Retunes counts reconfigurations applied at punctuation boundaries.
+	// BatchSize is the node's live batch capacity and MaxBatchDelay the
+	// engine's stale-batch flush bound; Retunes counts reconfigurations
+	// applied at punctuation boundaries.
 	BatchSize     int
 	MaxBatchDelay time.Duration
 	Retunes       uint64
@@ -551,7 +551,7 @@ func (e *Engine) Snapshot() Snapshot {
 			Dead:        n.dead.Load(),
 
 			BatchSize:     int(n.batchSize.Load()),
-			MaxBatchDelay: time.Duration(n.maxDelayNs.Load()),
+			MaxBatchDelay: e.maxDelay,
 			Retunes:       o.retunes.Load(),
 			BlockingInput: int(o.blockedOn.Load()),
 		}

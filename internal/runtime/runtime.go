@@ -161,35 +161,12 @@ type Options struct {
 }
 
 // AdaptiveOptions tunes the adaptive controller (internal/adapt). The zero
-// value enables every actuator with the defaults below; the No* fields
-// disable individual actuators.
+// value runs every actuator (batch-size hill climb, shard rebalance, join
+// probe reorder) with its defaults.
 type AdaptiveOptions struct {
 	// Interval is the controller tick (observe→decide cadence). Default
 	// DefaultAdaptInterval.
 	Interval time.Duration
-	// NoBatchTune disables per-node batch-size hill climbing.
-	NoBatchTune bool
-	// NoRebalance disables splitter bucket re-assignment.
-	NoRebalance bool
-	// NoJoinReorder disables multiway-join probe reordering.
-	NoJoinReorder bool
-	// MinBatch/MaxBatch bound the batch-size hill climb (defaults 1 and
-	// DefaultAdaptMaxBatch).
-	MinBatch, MaxBatch int
-	// TargetP95 is the latency guard: while the observed p95 (from the
-	// Latency reservoir) exceeds it, the tuner shrinks batches instead of
-	// growing them. 0 disables the guard.
-	TargetP95 time.Duration
-	// Latency, when non-nil, is the sink-observed latency reservoir the
-	// guard reads — typically the embedder's existing end-to-end latency
-	// instrument.
-	Latency *metrics.Reservoir
-	// SkewThreshold is the partition.Skew level above which a rebalance is
-	// considered (default 0.25).
-	SkewThreshold float64
-	// RebalanceMinInterval is the cool-down between rebalances of the same
-	// operator (default 20× Interval).
-	RebalanceMinInterval time.Duration
 	// BarrierLead is added to the splitters' max observed event timestamp
 	// when picking a retarget barrier, so the fence sits in the near
 	// future of event time (default: one tick's worth of observed
@@ -200,9 +177,6 @@ type AdaptiveOptions struct {
 // DefaultAdaptInterval is the controller tick when Interval is zero.
 const DefaultAdaptInterval = 10 * time.Millisecond
 
-// DefaultAdaptMaxBatch caps batch-size hill climbing when MaxBatch is zero.
-const DefaultAdaptMaxBatch = 1024
-
 // Reconfig is one punctuation-aligned reconfiguration action. The controller
 // publishes it with Engine.Reconfigure; the node's own goroutine applies it
 // at the next boundary where the node is quiescent — its last emission was a
@@ -211,8 +185,6 @@ const DefaultAdaptMaxBatch = 1024
 type Reconfig struct {
 	// BatchSize, when > 0, becomes the node's per-arc batch capacity.
 	BatchSize int
-	// MaxBatchDelay, when > 0, becomes the node's stale-batch flush bound.
-	MaxBatchDelay time.Duration
 	// Apply, when non-nil, runs on the node's goroutine at the boundary
 	// with the node's operator — the hook probe-order swaps ride on.
 	Apply func(op ops.Operator)
@@ -319,12 +291,11 @@ type node struct {
 	pendCount int
 	pendSince time.Time // when pendCount last left zero
 
-	// Per-node data-plane tunables, initialized from the engine-wide
-	// options and re-written only through the reconfiguration protocol.
-	// Atomics because scrapers (gauges, the controller) read them while
-	// the owning goroutine applies updates.
-	batchSize  atomic.Int64
-	maxDelayNs atomic.Int64
+	// batchSize is the node's per-arc batch capacity, initialized from
+	// Options.BatchSize and re-written only through the reconfiguration
+	// protocol. Atomic because scrapers (gauges, the controller) read it
+	// while the owning goroutine applies updates.
+	batchSize atomic.Int64
 
 	// reconf is the pending reconfiguration (last writer wins; the
 	// controller coalesces). The node goroutine consumes it only at a
@@ -448,7 +419,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		}
 		n.lastIn.Store(-1)
 		n.batchSize.Store(int64(e.batchSize))
-		n.maxDelayNs.Store(int64(e.maxDelay))
 		e.nodes[gn.ID] = n
 		if s := gn.Source(); s != nil {
 			n.ctl = make(chan ctlKind, 4)
@@ -965,7 +935,7 @@ func (e *Engine) runNode(n *node) {
 			e.exitIdle(n)
 			// Still busy: only stale batches flush (the delay rule);
 			// full batches and punctuation already flushed inside emit.
-			if n.pendCount > 0 && time.Since(n.pendSince) >= time.Duration(n.maxDelayNs.Load()) {
+			if n.pendCount > 0 && time.Since(n.pendSince) >= e.maxDelay {
 				e.flushPending(n)
 			}
 			continue
@@ -1054,9 +1024,6 @@ func (e *Engine) maybeApplyReconf(n *node, op ops.Operator) {
 	if rc.BatchSize > 0 {
 		n.batchSize.Store(int64(rc.BatchSize))
 	}
-	if rc.MaxBatchDelay > 0 {
-		n.maxDelayNs.Store(int64(rc.MaxBatchDelay))
-	}
 	if rc.Apply != nil {
 		rc.Apply(op)
 	}
@@ -1089,14 +1056,6 @@ func (e *Engine) NodeBatchSize(id int) int {
 		return 0
 	}
 	return int(e.nodes[id].batchSize.Load())
-}
-
-// NodeMaxBatchDelay reports node id's live stale-batch flush bound.
-func (e *Engine) NodeMaxBatchDelay(id int) time.Duration {
-	if id < 0 || id >= len(e.nodes) {
-		return 0
-	}
-	return time.Duration(e.nodes[id].maxDelayNs.Load())
 }
 
 // NodeOperator returns node id's operator instance (nil for an unknown id).

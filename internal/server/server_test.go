@@ -1,12 +1,8 @@
 package server_test
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -359,65 +355,10 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// lineDecoder is a minimal text decoder: "<ts>,<id>,<v>" per line.
-type lineDecoder struct {
-	br  *bufio.Reader
-	sch *tuple.Schema
-}
-
-func (d *lineDecoder) Next() (*tuple.Tuple, error) {
-	line, err := d.br.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	parts := strings.Split(strings.TrimSpace(line), ",")
-	ts, _ := strconv.ParseInt(parts[0], 10, 64)
-	id, _ := strconv.ParseInt(parts[1], 10, 64)
-	v, _ := strconv.ParseFloat(parts[2], 64)
-	return tuple.NewData(tuple.Time(ts), tuple.Int(id), tuple.Float(v)), nil
-}
-
-func TestTextFallback(t *testing.T) {
-	back := newRecBackend(sensorSchema(), nil)
-	srv, err := server.Listen("127.0.0.1:0", server.Options{
-		Backend: back,
-		Text: &server.TextOptions{
-			Stream: "sensors",
-			NewDecoder: func(r io.Reader, sch *tuple.Schema) server.TupleDecoder {
-				return &lineDecoder{br: bufio.NewReader(r), sch: sch}
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		fmt.Fprintf(conn, "%d,%d,%g\n", 100+i, i, 0.25)
-	}
-	conn.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		data, _, closed := back.counts()
-		if data == 5 {
-			if closed {
-				t.Fatal("text disconnect must not close the stream")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: got %d tuples", data)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
+// TestTextRejectedWithoutOptions: a peer that opens with CSV lines instead
+// of the wire magic is disconnected without anything reaching the backend,
+// and a binary session opened afterwards on the same server still binds and
+// ingests.
 func TestTextRejectedWithoutOptions(t *testing.T) {
 	back := newRecBackend(sensorSchema(), nil)
 	srv, err := server.Listen("127.0.0.1:0", server.Options{Backend: back})
@@ -425,14 +366,50 @@ func TestTextRejectedWithoutOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr().String())
+
+	raw, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "1,2,3\n")
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Error("expected the stray text connection to be dropped")
+	defer raw.Close()
+	for i := 0; i < 5; i++ {
+		fmt.Fprintf(raw, "%d,%d,%g\n", 100+i, i, 0.25)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("server answered a no-magic peer with %d bytes instead of closing", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("no-magic connection was left open")
+	}
+
+	tc := dialWire(t, srv.Addr().String())
+	defer tc.conn.Close()
+	tc.hello(1000)
+	if ack := tc.bind(1, "sensors", tuple.External, 0); ack.Err != "" {
+		t.Fatalf("bind after rejected peer: %s", ack.Err)
+	}
+	tc.send(wire.Tuple{ID: 1, T: tuple.NewData(10, tuple.Int(1), tuple.Float(0.5))})
+	tc.send(wire.EOS{ID: 1})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		data, _, closed := back.counts()
+		if closed {
+			if data != 1 {
+				t.Fatalf("backend got %d tuples, want only the binary session's 1", data)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout: data=%d closed=%v", data, closed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	snap := map[string]float64{}
+	for _, m := range srv.Registry().Snapshot() {
+		snap[m.Name] = m.Value
+	}
+	if snap["sm_net_tuples_in_total"] != 1 {
+		t.Errorf("tuples_in = %v, want 1", snap["sm_net_tuples_in_total"])
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -64,17 +62,11 @@ func newSession(s *Server, id uint64, conn net.Conn) *session {
 func (c *session) run() {
 	defer close(c.done)
 	defer c.conn.Close()
-	br := bufio.NewReaderSize(c.conn, 32<<10)
-	head, err := br.Peek(len(wire.Magic))
-	if err != nil {
-		return // died before identifying itself
+	rd := wire.NewReader(c.conn)
+	if rd.ReadMagic() != nil {
+		return // not a wire-protocol peer (or died before identifying itself)
 	}
-	if bytes.Equal(head, wire.Magic[:]) {
-		br.Discard(len(wire.Magic))
-		c.runBinary(br)
-	} else {
-		c.runText(br)
-	}
+	c.runBinary(rd)
 	// Bindings without an explicit EOS release their reference but leave the
 	// stream open: an abrupt disconnect is the engine watchdog's problem
 	// (forced ETS, dead-source EOS), not an excuse to end the stream early.
@@ -86,11 +78,8 @@ func (c *session) run() {
 	}
 }
 
-// --- binary protocol ---
-
-func (c *session) runBinary(br *bufio.Reader) {
+func (c *session) runBinary(rd *wire.Reader) {
 	s := c.s
-	rd := wire.NewReaderBuffered(br)
 	c.w = wire.NewWriter(c.conn)
 
 	// The opening frame must be HELLO; it doubles as the first skew sample.
@@ -492,36 +481,4 @@ func (c *session) waitUntil(deadline time.Time) bool {
 func isNetErr(err error) bool {
 	var ne net.Error
 	return errors.Is(err, net.ErrClosed) || errors.As(err, &ne)
-}
-
-// --- text fallback ---
-
-// runText serves a legacy unframed connection: the whole connection is one
-// stream of Options.Text-decoded tuples bound to the configured stream.
-func (c *session) runText(br *bufio.Reader) {
-	s := c.s
-	if s.opts.Text == nil {
-		return // no fallback configured; drop the stray connection
-	}
-	s.m.sessionsText.Inc()
-	st, err := s.openStream(s.opts.Text.Stream)
-	if err != nil {
-		return
-	}
-	// Legacy semantics: a text connection closing does NOT end the stream —
-	// the old TCP wrapper outlived its connections.
-	defer s.releaseStream(st, false)
-	dec := s.opts.Text.NewDecoder(br, st.sch)
-	for {
-		t, err := dec.Next()
-		if err != nil {
-			return
-		}
-		if c.draining.Load() {
-			return
-		}
-		s.m.tuplesIn.Inc()
-		st.tuples.Inc()
-		st.sink.Ingest(t)
-	}
 }

@@ -122,11 +122,6 @@ func (s *Sim) TrackIdle(id graph.NodeID) *metrics.IdleAccount {
 	return a
 }
 
-// Schedule registers an arbitrary event (tests and custom drivers).
-func (s *Sim) Schedule(at tuple.Time, fire func(now tuple.Time)) {
-	s.events.schedule(at, fire)
-}
-
 // MeasuredSpan reports the virtual time covered by statistics (horizon minus
 // warmup once the run completes).
 func (s *Sim) MeasuredSpan() tuple.Time { return s.span }

@@ -97,31 +97,6 @@ func (b *ColBatch) Empty() bool { return b.n == 0 && len(b.Puncts) == 0 }
 // HasPunct reports whether the batch carries punctuation metadata.
 func (b *ColBatch) HasPunct() bool { return len(b.Puncts) > 0 }
 
-// HasEOS reports whether the batch carries the end-of-stream punctuation.
-func (b *ColBatch) HasEOS() bool {
-	for i := range b.Puncts {
-		if b.Puncts[i].Ts == MaxTime {
-			return true
-		}
-	}
-	return false
-}
-
-// MaxPunctTs returns the largest punctuation timestamp in the batch and
-// whether any punctuation is present.
-func (b *ColBatch) MaxPunctTs() (Time, bool) {
-	if len(b.Puncts) == 0 {
-		return 0, false
-	}
-	m := b.Puncts[0].Ts
-	for _, p := range b.Puncts[1:] {
-		if p.Ts > m {
-			m = p.Ts
-		}
-	}
-	return m, true
-}
-
 // MaxTs returns the largest row timestamp and whether the batch has rows.
 func (b *ColBatch) MaxTs() (Time, bool) {
 	if b.n == 0 {

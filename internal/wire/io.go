@@ -83,10 +83,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 32*1024)}
 }
 
-// NewReaderBuffered wraps an existing bufio.Reader (the server's magic-peek
-// path already holds one; re-wrapping would lose the peeked bytes).
-func NewReaderBuffered(br *bufio.Reader) *Reader { return &Reader{br: br} }
-
 // ReadMagic consumes and verifies the binary-session preamble.
 func (r *Reader) ReadMagic() error {
 	var m [4]byte

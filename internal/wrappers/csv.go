@@ -1,8 +1,8 @@
 // Package wrappers implements the input and output wrappers that connect
 // the DSMS to the outside world (paper §3: source-node buffers "are being
 // filled by external wrappers", and output wrappers drain sink buffers):
-// CSV and JSON-lines codecs over io.Reader/io.Writer, and TCP line sources
-// and sinks for the real-time runtime.
+// CSV and JSON-lines codecs over io.Reader/io.Writer. Networked ingest goes
+// through internal/server's wire protocol instead.
 package wrappers
 
 import (

@@ -2,13 +2,9 @@ package wrappers
 
 import (
 	"bytes"
-
 	"io"
-
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/tuple"
 )
@@ -162,65 +158,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := sc.Next(); err != io.EOF {
 		t.Error("punctuation leaked into JSON output")
-	}
-}
-
-func TestTCPSourceAndSink(t *testing.T) {
-	sch := sensorSchema()
-	var mu sync.Mutex
-	var got []*tuple.Tuple
-	src, err := NewTCPSource("127.0.0.1:0", sch, CSVOptions{TsColumn: 0},
-		func(tp *tuple.Tuple) {
-			mu.Lock()
-			got = append(got, tp)
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-
-	sink, err := NewTCPSink(src.Addr().String(), sch, CSVOptions{TsColumn: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		tp := tuple.NewData(tuple.Time(i*1000), tuple.Int(int64(i)), tuple.Float(1.5), tuple.String_("lab"))
-		if err := sink.Write(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sink.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out with %d/5 tuples", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got[4].Ts != 4000 || got[4].Vals[0].AsInt() != 4 {
-		t.Errorf("last tuple = %v", got[4])
-	}
-	if src.Received() != 5 {
-		t.Errorf("Received = %d", src.Received())
-	}
-}
-
-func TestTCPSourceBadAddr(t *testing.T) {
-	if _, err := NewTCPSource("256.0.0.1:99999", sensorSchema(), CSVOptions{TsColumn: -1}, nil); err == nil {
-		t.Error("bad listen address accepted")
-	}
-	if _, err := NewTCPSink("127.0.0.1:1", sensorSchema(), CSVOptions{TsColumn: -1}); err == nil {
-		t.Error("dial to closed port should fail")
 	}
 }
 
